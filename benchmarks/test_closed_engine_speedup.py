@@ -17,7 +17,7 @@ import time
 
 from benchmarks.conftest import BENCH_SEED, emit
 from repro.sim.closed_system import ClosedSystemConfig
-from repro.sim.engines import get_closed_engine
+from repro.sim.engines import get_engine
 from repro.sim.sweep import sweep_grid
 
 SMOKE = os.environ.get("CLOSED_ENGINE_SMOKE", "") not in ("", "0")
@@ -35,7 +35,7 @@ ALPHA = 2
 
 def _run_engine(name: str) -> tuple[list[tuple], float]:
     """All grid points on one engine: (result tuples, points/second)."""
-    engine = get_closed_engine(name)
+    engine = get_engine("closed", name)
     grid = sweep_grid(**GRID)
     results = []
     start = time.perf_counter()

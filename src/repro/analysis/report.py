@@ -33,7 +33,7 @@ from repro.analysis.tables import format_series, format_table
 from repro.core.model import ModelParams, conflict_likelihood_product_form
 from repro.core.sizing import concurrency_scaling_factor, table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
-from repro.sim.engines import CLOSED_ENGINES, DEFAULT_CLOSED_ENGINE
+from repro.sim.engines import DEFAULT_ENGINES, ENGINES
 from repro.sim.sweep import SweepResult, run_sweep
 from repro.sim.throughput import throughput_curve
 
@@ -50,7 +50,7 @@ class ReportConfig:
     """Report generation parameters.
 
     ``jobs`` parallelizes the sweep-shaped sections over that many
-    worker processes; ``None`` (the default) keeps them serial.
+    worker processes; ``None`` (the default) or 1 keeps them serial.
     ``cluster`` distributes the sweeps over that many in-process
     cluster workers instead. The report body is identical in every
     mode — non-serial runs only add a telemetry section at the end.
@@ -60,14 +60,14 @@ class ReportConfig:
     seed: int = 20070609
     jobs: Optional[int] = None
     cluster: Optional[int] = None
-    engine: str = DEFAULT_CLOSED_ENGINE
+    engine: str = DEFAULT_ENGINES["closed"]
 
     def __post_init__(self) -> None:
         if self.quality not in _QUALITY:
             raise ValueError(f"quality must be one of {sorted(_QUALITY)}, got {self.quality!r}")
-        if self.engine not in CLOSED_ENGINES:
+        if self.engine not in ENGINES["closed"]:
             raise ValueError(
-                f"engine must be one of {sorted(CLOSED_ENGINES)}, got {self.engine!r}"
+                f"engine must be one of {sorted(ENGINES['closed'])}, got {self.engine!r}"
             )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
@@ -81,12 +81,13 @@ class ReportConfig:
 
 
 class _SweepRunner:
-    """Dispatch report sweeps serially, onto the pool, or the cluster.
+    """Run report sweeps in the configured mode, recording telemetry.
 
-    Collects one telemetry record per non-serial sweep so the report can
-    surface throughput and worker utilization at the end.  Every report
-    sweep comes from the sweep-kind table, whose point functions are
-    wire-safe by construction — cluster dispatch never falls back.
+    Collects one telemetry record per pool or cluster sweep so the
+    report can surface throughput and worker utilization at the end.
+    Every report sweep comes from the sweep-kind table, whose point
+    functions are wire-safe by construction — cluster dispatch never
+    falls back.
     """
 
     def __init__(self, jobs: Optional[int], cluster: Optional[int] = None) -> None:
@@ -107,20 +108,7 @@ class _SweepRunner:
         sweep to columnar accumulation; the returned result is the
         frame-backed facade, byte-identical row-wise.
         """
-        if self.cluster is not None:
-            from repro.cluster.coordinator import run_sweep_cluster_from_callable
-
-            result = run_sweep_cluster_from_callable(
-                fn, list(grid), workers=self.cluster, frame=frame
-            )
-            if result.telemetry is not None:
-                self.telemetry.append((name, result.telemetry))
-            return result
-        if self.jobs is None:
-            return run_sweep(fn, grid, frame=frame)
-        from repro.sim.parallel import run_sweep_parallel
-
-        result = run_sweep_parallel(fn, grid, jobs=self.jobs, frame=frame)
+        result = run_sweep(fn, grid, jobs=self.jobs, cluster=self.cluster, frame=frame)
         if result.telemetry is not None:
             self.telemetry.append((name, result.telemetry))
         return result

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.analysis.tables import format_series, format_table
 from repro.core.birthday import birthday_collision_probability, people_for_collision_probability
@@ -126,54 +127,12 @@ def _progress_line(done: int, total: int) -> None:
     Suppressed entirely when stderr is not a TTY — carriage returns
     would otherwise pollute redirected logs and CI output with one
     ever-growing line of overstrikes.  (The end-of-sweep telemetry
-    summary is printed unconditionally by :func:`_run_grid`.)
+    summary is printed unconditionally by :func:`_run_kind`.)
     """
     if not sys.stderr.isatty():
         return
     end = "\n" if done >= total else ""
     print(f"\r[sweep] {done}/{total} points", end=end, file=sys.stderr, flush=True)
-
-
-def _run_grid(
-    fn: Callable[..., Any],
-    grid: Sequence[Mapping[str, Any]],
-    jobs: Optional[int],
-    cluster: Optional[int] = None,
-    frame: Optional[Any] = None,
-) -> SweepResult:
-    """Run one CLI sweep serially, on the pool, or across the cluster.
-
-    Identical numbers in every mode: every point's randomness comes
-    from its own config seed, so sharding cannot perturb outcomes.
-    Non-serial runs print telemetry on stderr, keeping stdout
-    byte-identical to the serial run.  ``cluster=N`` boots an in-process
-    coordinator plus N worker loops; point functions that cannot cross
-    the wire fall back to the ``jobs`` path with a note on stderr.
-    ``frame`` (a :class:`repro.sim.frame.SweepFrame`) makes every mode
-    accumulate columns instead of dict rows — same bytes, flat storage.
-    """
-    if cluster is not None:
-        from repro.cluster.coordinator import run_sweep_cluster_from_callable
-
-        try:
-            result = run_sweep_cluster_from_callable(
-                fn, list(grid), workers=cluster, jobs_per_worker=jobs or 1,
-                frame=frame,
-            )
-        except ValueError as exc:
-            print(f"[sweep] not clusterable ({exc}); running locally", file=sys.stderr)
-        else:
-            if result.telemetry is not None:
-                print(f"[sweep] {result.telemetry.summary()}", file=sys.stderr)
-            return result
-    if jobs is None:
-        return run_sweep(fn, grid, frame=frame)
-    from repro.sim.parallel import run_sweep_parallel
-
-    result = run_sweep_parallel(fn, grid, jobs=jobs, progress=_progress_line, frame=frame)
-    if result.telemetry is not None:
-        print(f"[sweep] {result.telemetry.summary()}", file=sys.stderr)
-    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,18 +494,28 @@ def _run_kind(kind_name: str, raw_params: Mapping[str, Any],
 
     One code path for every figure subcommand: validate the CLI flags
     through the kind's schema (same messages as ``POST /v1/sweeps``),
-    bind the point callable, and execute serially, on the process pool,
-    or across in-process cluster workers.
+    bind the point callable, and hand it to :func:`run_sweep` with the
+    ``--jobs``/``--cluster`` choice.  Every mode gives identical
+    numbers; pool and cluster runs print their telemetry on stderr, so
+    stdout stays byte-identical to the serial run.  A point function
+    that cannot cross the cluster wire runs locally, with a note on
+    stderr.
     """
     kind = SWEEP_KINDS[kind_name]
     params = kind.validate(raw_params)
-    sweep = _run_grid(
-        kind.bind(params, args.seed),
-        kind.grid(params),
-        args.jobs,
-        getattr(args, "cluster", None),
-        frame=kind.make_frame(params),
-    )
+    fn, grid = kind.bind(params, args.seed), kind.grid(params)
+    cluster = getattr(args, "cluster", None)
+    run = partial(run_sweep, fn, grid, jobs=args.jobs, progress=_progress_line,
+                  frame=kind.make_frame(params))
+    try:
+        sweep = run(cluster=cluster)
+    except ValueError as exc:
+        if cluster is None:
+            raise
+        print(f"[sweep] not clusterable ({exc}); running locally", file=sys.stderr)
+        sweep = run()
+    if sweep.telemetry is not None:
+        print(f"[sweep] {sweep.telemetry.summary()}", file=sys.stderr)
     return params, sweep
 
 
@@ -747,7 +716,7 @@ def _cmd_cluster_coordinate(args: argparse.Namespace) -> int:
 
     Stdout carries exactly one line — the canonical-JSON result, the
     same object ``POST /v1/sweeps`` would return — so output can be
-    diffed against a serial :func:`repro.service.sweeps.execute_sweep`
+    diffed against a serial :func:`repro.sim.catalog.execute_sweep`
     run.  Everything operational goes to stderr.
     """
     import json

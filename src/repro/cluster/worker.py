@@ -4,11 +4,10 @@ A worker is a plain synchronous loop around the coordinator protocol:
 
 1. ``GET /cluster/v1/spec`` — learn the run (task, grid, chunking, ttl).
 2. ``POST /cluster/v1/lease`` — claim the next chunk, or learn to wait.
-3. Evaluate the chunk through the exact engine the serial path uses
-   (:func:`repro.sim.sweep.run_sweep`, or
-   :func:`repro.sim.parallel.run_sweep_parallel` when ``jobs > 1``), so
-   per-point seeds — and therefore outcomes — are byte-identical to a
-   single-machine run.
+3. Evaluate the chunk through :func:`repro.sim.sweep.run_sweep` — the
+   dispatcher every local path uses, serial or (``jobs > 1``) on a
+   process pool — so per-point seeds, and therefore outcomes, are
+   byte-identical to a single-machine run.
 4. ``POST /cluster/v1/result`` — submit outcomes (idempotent on the
    coordinator; a duplicate is acknowledged and discarded).
 
@@ -35,7 +34,6 @@ from repro.cluster.protocol import (
     SPEC_PATH,
     SweepSpec,
 )
-from repro.sim.parallel import run_sweep_parallel
 from repro.sim.sweep import run_sweep
 
 __all__ = ["ClusterWorker", "WorkerConfig", "WorkerThread", "run_worker"]
@@ -57,9 +55,9 @@ class WorkerConfig:
         Stable identity used in leases and liveness tracking; generated
         when omitted.
     jobs:
-        In-worker parallelism: 1 evaluates chunks serially via
-        ``run_sweep``; more fans each chunk out over
-        ``run_sweep_parallel`` (requires a picklable point function).
+        In-worker parallelism: 1 evaluates chunks serially; more fans
+        each chunk out over a process pool (requires a picklable point
+        function).
     poll_interval:
         Sleep between lease polls while the run has work outstanding
         but nothing currently claimable.
@@ -182,16 +180,10 @@ class ClusterWorker:
             self._held.add(lease_id)
         try:
             try:
-                if self.config.jobs > 1:
-                    result = run_sweep_parallel(
-                        fn, points, jobs=self.config.jobs,
-                        seed=spec.task.seed, label=spec.task.label,
-                        progress=False,
-                    )
-                else:
-                    result = run_sweep(
-                        fn, points, seed=spec.task.seed, label=spec.task.label
-                    )
+                result = run_sweep(
+                    fn, points, seed=spec.task.seed, label=spec.task.label,
+                    jobs=self.config.jobs,
+                )
                 outcomes = list(result.outcomes)
             except Exception as exc:  # point function failed — report it
                 summary["chunks_errored"] += 1

@@ -13,7 +13,8 @@ byte-identical report artifact.
 Execution modes share one checkpoint namespace:
 
 * serial / ``--jobs N`` — the runner walks chunks itself, evaluating
-  misses via :func:`repro.sim.sweep.run_sweep` (or the process pool);
+  misses via :func:`repro.sim.sweep.run_sweep` (serially or on the
+  process pool);
 * ``--cluster N`` — an in-process elastic fleet: a
   :class:`~repro.cluster.coordinator.Coordinator` (which probes the
   same cache, keyed by :func:`~repro.cluster.coordinator.chunk_cache_key`)
@@ -257,12 +258,7 @@ def _run_figure_local(
             hits += 1
             on_chunk_done(hits + computed)
             continue
-        if jobs is not None and jobs > 1:
-            from repro.sim.parallel import run_sweep_parallel
-
-            sweep = run_sweep_parallel(fn, points, jobs=jobs)
-        else:
-            sweep = run_sweep(fn, points)
+        sweep = run_sweep(fn, points, jobs=jobs)
         cache.put(key, list(sweep.outcomes))
         outcomes.extend(sweep.outcomes)
         if frame is not None:

@@ -15,8 +15,6 @@ Module map
   rejection (the 429 path), per-job timeout, and graceful drain.
 * :mod:`repro.service.cache` — content-addressed result cache
   (canonical JSON + SHA-256) with memory-LRU and disk tiers.
-* :mod:`repro.service.sweeps` — validated registry of runnable sweep
-  kinds, executing on the existing engines.
 * :mod:`repro.service.metrics` — counter/gauge/histogram registry with
   Prometheus text rendering for ``GET /metrics``.
 * :mod:`repro.service.batching` — the micro-batcher coalescing
@@ -48,7 +46,7 @@ from repro.service.server import (
     serve,
     start_in_thread,
 )
-from repro.service.sweeps import SWEEP_KINDS, execute_sweep, validate_sweep_request
+from repro.sim.catalog import SWEEP_KINDS, execute_sweep, validate_sweep_request
 
 __all__ = [
     "CacheStats",

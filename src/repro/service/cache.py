@@ -30,6 +30,7 @@ import json
 import os
 import tempfile
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,15 +195,6 @@ class ResultCache:
             self._memory_put(key, value)
             return True, value
 
-    def get(self, key: str) -> Optional[Any]:
-        """Look up a key; returns the value or ``None`` on miss.
-
-        Kept for compatibility; it cannot distinguish a cached ``None``
-        from a miss — callers that store ``None`` should use
-        :meth:`lookup`.
-        """
-        return self.lookup(key)[1]
-
     def put(self, key: str, value: Any) -> None:
         """Store a value under a content address, in both tiers."""
         if self.disk_dir is not None:
@@ -242,18 +234,19 @@ class ResultCache:
         # Compressed entries first (what new large puts write), then the
         # legacy plain-JSON form — caches written before compression
         # landed stay readable forever.  Same key means same content, so
-        # whichever tier answers is equally current.
+        # whichever tier answers is equally current.  A missing,
+        # unreadable, torn or corrupt entry (bad gzip stream, invalid
+        # UTF-8, invalid JSON — UnicodeDecodeError and JSONDecodeError
+        # are ValueErrors) is a miss; the next put overwrites it.
         try:
             with gzip.open(self._disk_path(key, ".json.gz"), "rt", encoding="utf-8") as fh:
                 return True, json.load(fh)
-        except (OSError, EOFError, json.JSONDecodeError):
+        except (OSError, EOFError, ValueError, zlib.error):
             pass
         try:
             with open(self._disk_path(key), "r", encoding="utf-8") as fh:
                 return True, json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            # Missing, unreadable, or torn entry: treat as a miss; a
-            # torn entry is overwritten by the next put.
+        except (OSError, ValueError):
             return False, None
 
     def _disk_put(self, key: str, value: Any) -> None:

@@ -26,39 +26,16 @@ Each engine reproduces one of the paper's measurement protocols:
   kinds), driven by placed, Zipf-skewed streams from :mod:`repro.alloc`.
 * :mod:`repro.sim.montecarlo` — the vectorized collision kernels shared
   by the above.
-* :mod:`repro.sim.sweep` — parameter-grid utilities.
+* :mod:`repro.sim.sweep` — parameter-grid utilities and
+  :func:`~repro.sim.sweep.run_sweep`, which runs a grid serially, on
+  the process pool or on the cluster.
 * :mod:`repro.sim.parallel` — process-pool sweep engine, bit-identical
   to the serial runner via coordinate-sharded RNG streams.
 """
 
 from repro.sim.closed_fast import simulate_closed_system_fast
 from repro.sim.closed_system import ClosedSystemConfig, ClosedSystemResult, simulate_closed_system
-from repro.sim.engines import (
-    CLOSED_ENGINES,
-    DEFAULT_CLOSED_ENGINE,
-    DEFAULT_ENGINES,
-    DEFAULT_OPEN_ENGINE,
-    DEFAULT_OVERFLOW_ENGINE,
-    DEFAULT_TRACE_ENGINE,
-    ENGINES,
-    OPEN_ENGINES,
-    OVERFLOW_ENGINES,
-    TRACE_ENGINES,
-    available_closed_engines,
-    available_engines,
-    available_open_engines,
-    available_overflow_engines,
-    available_trace_engines,
-    get_closed_engine,
-    get_engine,
-    get_open_engine,
-    get_overflow_engine,
-    get_trace_engine,
-    simulate_closed,
-    simulate_open,
-    simulate_overflow,
-    simulate_trace,
-)
+from repro.sim.engines import DEFAULT_ENGINES, ENGINES, available_engines, get_engine
 from repro.sim.montecarlo import (
     collision_probability_estimate,
     cross_thread_conflicts,
@@ -112,21 +89,14 @@ from repro.sim.trace_driven import TraceAliasConfig, TraceAliasResult, simulate_
 from repro.sim.trace_fast import simulate_trace_aliasing_fast
 
 __all__ = [
-    "CLOSED_ENGINES",
     "ClosedSystemConfig",
     "ClosedSystemResult",
-    "DEFAULT_CLOSED_ENGINE",
     "DEFAULT_ENGINES",
-    "DEFAULT_OPEN_ENGINE",
-    "DEFAULT_OVERFLOW_ENGINE",
-    "DEFAULT_TRACE_ENGINE",
     "ENGINES",
     "HybridPipelineConfig",
     "HybridPipelineResult",
     "IsolationCostConfig",
     "IsolationCostResult",
-    "OPEN_ENGINES",
-    "OVERFLOW_ENGINES",
     "OpenSystemConfig",
     "OpenSystemResult",
     "OverflowConfig",
@@ -137,48 +107,35 @@ __all__ = [
     "SweepFailure",
     "SweepResult",
     "SweepTelemetry",
-    "TRACE_ENGINES",
     "TableABConfig",
     "TableABResult",
     "ThroughputConfig",
     "ThroughputResult",
     "TraceAliasConfig",
     "TraceAliasResult",
-    "available_closed_engines",
     "available_engines",
-    "available_open_engines",
-    "available_overflow_engines",
-    "available_trace_engines",
     "characterize_overflow",
     "collision_probability_estimate",
     "cross_thread_conflicts",
     "fleet_summary",
-    "get_closed_engine",
     "get_engine",
-    "get_open_engine",
-    "get_overflow_engine",
-    "get_trace_engine",
     "intra_thread_alias_counts",
     "overflow_distribution",
     "plain_read_violation_rate",
     "plain_write_violation_rate",
     "run_sweep",
     "run_sweep_parallel",
-    "simulate_closed",
     "simulate_closed_system",
     "simulate_closed_system_fast",
     "simulate_htm_overflow",
     "simulate_htm_overflow_fast",
     "simulate_hybrid_pipeline",
     "simulate_isolation_cost",
-    "simulate_open",
     "simulate_open_system",
     "simulate_open_system_heterogeneous",
-    "simulate_overflow",
     "simulate_placement_conflicts",
     "simulate_table_ab",
     "simulate_throughput",
-    "simulate_trace",
     "simulate_trace_aliasing",
     "simulate_trace_aliasing_fast",
     "sweep_grid",

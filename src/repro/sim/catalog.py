@@ -49,11 +49,11 @@ cluster kwargs unchanged); engines are byte-identical by contract, so
 the choice only changes wall-clock — and it *is* part of the cache key,
 because the normalized params are.
 
-Executors call :func:`repro.sim.sweep.run_sweep` (serial),
-:func:`repro.sim.parallel.run_sweep_parallel` (``jobs`` requested) or
-the cluster coordinator (``execution: cluster``), and all paths return
-identical numbers — the engines' determinism contract — so a cached
-result is indistinguishable from a recomputed one.
+Executors hand every grid to :func:`repro.sim.sweep.run_sweep`, which
+runs it serially, on the process pool (``jobs`` > 1) or on the cluster
+(``execution: cluster``); all paths return identical numbers — the
+engines' determinism contract — so a cached result is indistinguishable
+from a recomputed one.
 """
 
 from __future__ import annotations
@@ -73,19 +73,13 @@ from repro.core.model import (
 from repro.ownership.hashing import available_hash_kinds, make_hash
 from repro.sim.closed_system import ClosedSystemConfig
 from repro.sim.engines import (
-    DEFAULT_CLOSED_ENGINE,
     DEFAULT_ENGINES,
-    DEFAULT_OPEN_ENGINE,
-    DEFAULT_OVERFLOW_ENGINE,
-    DEFAULT_TRACE_ENGINE,
     ENGINES,
     _KIND_DISPLAY,
     available_engines,
-    simulate_closed,
-    simulate_open,
-    simulate_trace,
+    get_engine,
 )
-from repro.sim.frame import FrameBackedSweepResult, FrameField, FrameSchema, SweepFrame
+from repro.sim.frame import FrameField, FrameSchema, SweepFrame
 from repro.sim.open_system import OpenSystemConfig
 from repro.sim.overflow import OverflowConfig, characterize_overflow
 from repro.sim.sweep import run_sweep, sweep_grid
@@ -409,28 +403,23 @@ class SweepKind:
 
     def execute(self, params: dict[str, Any], seed: int,
                 jobs: Optional[int],
-                frame: Optional[SweepFrame] = None) -> dict[str, Any]:
-        """Run the sweep locally (serial or process pool).
+                frame: Optional[SweepFrame] = None, *,
+                cluster: Optional[int] = None,
+                cache: Any = None) -> dict[str, Any]:
+        """Run the sweep and assemble its response.
 
-        When ``frame`` is given (from :meth:`make_frame`), results
-        accumulate into its typed columns and the assembler sees the
-        frame-backed row view — same bytes out, plus mid-run progress
-        readable through the frame.
+        ``jobs``, ``cluster`` and ``cache`` pick the execution mode as
+        :func:`repro.sim.sweep.run_sweep` defines it; kinds without a
+        grid (``model``) ignore them.  When ``frame`` is given (from
+        :meth:`make_frame`), results accumulate into its typed columns
+        and the assembler sees the frame-backed row view — same bytes
+        out, plus mid-run progress readable through the frame.
         """
         if self._execute is not None:
             return self._execute(params, seed, jobs)
-        sweep = _run_grid(self.bind(params, seed), self.grid(params), jobs, frame=frame)
+        sweep = run_sweep(self.bind(params, seed), self.grid(params), jobs=jobs,
+                          cluster=cluster, cache=cache, frame=frame)
         return self.assemble(params, sweep)
-
-
-def _run_grid(fn: Callable[..., Any], grid: list[dict[str, Any]],
-              jobs: Optional[int], frame: Optional[SweepFrame] = None):
-    """Serial or process-pool execution of one validated grid."""
-    if jobs is None or jobs <= 1:
-        return run_sweep(fn, grid, frame=frame)
-    from repro.sim.parallel import run_sweep_parallel
-
-    return run_sweep_parallel(fn, grid, jobs=jobs, frame=frame)
 
 
 # -- point callables ---------------------------------------------------
@@ -440,11 +429,10 @@ def _run_grid(fn: Callable[..., Any], grid: list[dict[str, Any]],
 
 
 def _open_point(n: int, w: int, *, concurrency: int, samples: int, seed: int,
-                engine: str = DEFAULT_OPEN_ENGINE) -> float:
+                engine: str = DEFAULT_ENGINES["open"]) -> float:
     """One open-system grid point: conflict likelihood in percent."""
-    result = simulate_open(
-        OpenSystemConfig(n, concurrency, w, samples=samples, seed=seed),
-        engine=engine,
+    result = get_engine("open", engine)(
+        OpenSystemConfig(n, concurrency, w, samples=samples, seed=seed)
     )
     return 100 * result.conflict_probability
 
@@ -465,7 +453,7 @@ def _fig2a_trace(threads: int, accesses: int, seed: int):
 
 def _fig2a_point(n: int, w: int, *, threads: int, accesses: int, concurrency: int,
                  samples: int, seed: int,
-                 engine: str = DEFAULT_TRACE_ENGINE) -> float:
+                 engine: str = DEFAULT_ENGINES["trace"]) -> float:
     """One trace-driven grid point: alias likelihood in percent."""
     cfg = TraceAliasConfig(
         n_entries=n,
@@ -475,11 +463,11 @@ def _fig2a_point(n: int, w: int, *, threads: int, accesses: int, concurrency: in
         seed=seed,
     )
     trace = _fig2a_trace(threads, accesses, seed)
-    return 100 * simulate_trace(trace, cfg, engine=engine).alias_probability
+    return 100 * get_engine("trace", engine)(trace, cfg).alias_probability
 
 
 def _fig3_point(bench: str, *, traces: int, accesses: int, victim: int, seed: int,
-                engine: str = DEFAULT_OVERFLOW_ENGINE) -> dict[str, Any]:
+                engine: str = DEFAULT_ENGINES["overflow"]) -> dict[str, Any]:
     """One Figure 3 grid point: a benchmark's overflow averages, JSON-safe."""
     from repro.traces.workloads import SPEC2000_PROFILES
 
@@ -503,17 +491,16 @@ def _fig3_point(bench: str, *, traces: int, accesses: int, victim: int, seed: in
 
 def _closed_point(n_entries: int, concurrency: int, write_footprint: int,
                   *, alpha: int, seed: int,
-                  engine: str = DEFAULT_CLOSED_ENGINE) -> dict[str, Any]:
+                  engine: str = DEFAULT_ENGINES["closed"]) -> dict[str, Any]:
     """One closed-system grid point as a JSON-safe record."""
-    r = simulate_closed(
+    r = get_engine("closed", engine)(
         ClosedSystemConfig(
             n_entries=n_entries,
             concurrency=concurrency,
             write_footprint=write_footprint,
             alpha=alpha,
             seed=seed,
-        ),
-        engine=engine,
+        )
     )
     return {
         "n_entries": n_entries,
@@ -719,26 +706,7 @@ def _fig3_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
     The mean of per-benchmark means over the benchmarks that overflowed,
     in grid order — the same operations, on the same floats, as
     :func:`repro.sim.overflow.fleet_summary`, so the two agree exactly.
-    On a frame-backed sweep the reduction runs over the typed columns
-    directly: same float64 values in the same order, so ``np.mean``
-    produces the identical bits.
     """
-    if isinstance(sweep, FrameBackedSweepResult):
-        frame = sweep.frame
-        points = [frame.outcome_at(i) for i in range(frame.capacity)]
-        overflowed = frame.column("traces_overflowed")
-        mask = overflowed > 0
-        if mask.any():
-            points.append({
-                "bench": "AVG",
-                "mean_read_blocks": float(np.mean(frame.column("mean_read_blocks")[mask])),
-                "mean_write_blocks": float(np.mean(frame.column("mean_write_blocks")[mask])),
-                "mean_instructions": float(np.mean(frame.column("mean_instructions")[mask])),
-                "mean_utilization": float(np.mean(frame.column("mean_utilization")[mask])),
-                "traces_overflowed": int(overflowed[mask].sum()),
-                "traces_fit": int(frame.column("traces_fit")[mask].sum()),
-            })
-        return {"kind": "fig3", "benchmarks": params["benchmarks"], "points": points}
     points = [dict(r) for r in sweep.outcomes]
     measured = [r for r in points if r["traces_overflowed"] > 0]
     if measured:
@@ -760,31 +728,17 @@ def _closed_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
 
 
 def _placement_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
-    """False-conflict-% series per placement/hash pair, plus raw points.
-
-    Frame-backed sweeps slice the ``false_conflict_pct`` column with one
-    vectorized axis mask per series instead of scanning row dicts.
-    """
-    if isinstance(sweep, FrameBackedSweepResult):
-        frame = sweep.frame
-        points = sweep.outcomes
-        pct = frame.column("false_conflict_pct")
-        series = {
-            f"{p}/{h}": [float(v) for v in pct[frame.mask(placement=p, hash_kind=h)]]
-            for p in params["placements"]
-            for h in params["hash_kinds"]
-        }
-    else:
-        points = [dict(r) for r in sweep.outcomes]
-        series = {
-            f"{p}/{h}": [
-                float(r["false_conflict_pct"])
-                for r in points
-                if r["placement"] == p and r["hash_kind"] == h
-            ]
-            for p in params["placements"]
-            for h in params["hash_kinds"]
-        }
+    """False-conflict-% series per placement/hash pair, plus raw points."""
+    points = [dict(r) for r in sweep.outcomes]
+    series = {
+        f"{p}/{h}": [
+            float(r["false_conflict_pct"])
+            for r in points
+            if r["placement"] == p and r["hash_kind"] == h
+        ]
+        for p in params["placements"]
+        for h in params["hash_kinds"]
+    }
     return {
         "kind": "placement",
         "x": "n",
@@ -802,49 +756,28 @@ def _fig7_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
     ``false_conflicts_by_table`` totals each table kind's false conflicts
     per table size across the whole W axis — on any shared grid the
     tagged column is identically zero, which *is* the §5 claim.
-    Frame-backed sweeps reduce the ``false_conflicts`` column under one
-    vectorized (table, n) axis mask per family.
     """
-    if isinstance(sweep, FrameBackedSweepResult):
-        frame = sweep.frame
-        points = sweep.outcomes
-        fc = frame.column("false_conflicts")
-        masks = {
-            (t, n): frame.mask(table=t, n=n)
-            for t in params["tables"]
-            for n in params["n_values"]
-        }
-        series = {
-            f"{t} N={n}": [float(v) for v in fc[masks[t, n]]]
-            for t in params["tables"]
-            for n in params["n_values"]
-        }
-        elimination = {
-            f"N={n}": {t: int(fc[masks[t, n]].sum()) for t in params["tables"]}
-            for n in params["n_values"]
-        }
-    else:
-        points = [dict(r) for r in sweep.outcomes]
-        series = {
-            f"{t} N={n}": [
-                float(r["false_conflicts"])
+    points = [dict(r) for r in sweep.outcomes]
+    series = {
+        f"{t} N={n}": [
+            float(r["false_conflicts"])
+            for r in points
+            if r["table"] == t and r["n"] == n
+        ]
+        for t in params["tables"]
+        for n in params["n_values"]
+    }
+    elimination = {
+        f"N={n}": {
+            t: sum(
+                r["false_conflicts"]
                 for r in points
                 if r["table"] == t and r["n"] == n
-            ]
+            )
             for t in params["tables"]
-            for n in params["n_values"]
         }
-        elimination = {
-            f"N={n}": {
-                t: sum(
-                    r["false_conflicts"]
-                    for r in points
-                    if r["table"] == t and r["n"] == n
-                )
-                for t in params["tables"]
-            }
-            for n in params["n_values"]
-        }
+        for n in params["n_values"]
+    }
     return {
         "kind": "fig7",
         "x": "w",
@@ -1182,8 +1115,9 @@ def execute_sweep(
     """Run one validated sweep to completion (the job-queue body).
 
     ``execution="cluster"`` distributes a grid-shaped kind across an
-    in-process coordinator + worker fleet (``cluster_workers`` strong)
-    via :func:`repro.cluster.coordinator.run_sweep_cluster_from_callable`;
+    in-process coordinator + worker fleet (``cluster_workers`` strong,
+    each fanning its chunks over ``jobs`` processes; see
+    :func:`repro.sim.sweep.run_sweep`);
     the determinism contract makes the response byte-identical to the
     local path, so callers need not care which ran.  Kinds without a
     grid decomposition (``model``) always execute locally.  ``cache``
@@ -1194,17 +1128,5 @@ def execute_sweep(
     but progress and streaming reads become available mid-run.
     """
     sweep_kind = SWEEP_KINDS[kind]
-    if execution == "cluster" and sweep_kind.clusterable:
-        # Imported lazily: the cluster layer depends on service plumbing,
-        # and this module must stay importable without it.
-        from repro.cluster.coordinator import run_sweep_cluster_from_callable
-
-        sweep = run_sweep_cluster_from_callable(
-            sweep_kind.bind(params, seed),
-            sweep_kind.grid(params),
-            workers=cluster_workers,
-            cache=cache,
-            frame=frame,
-        )
-        return sweep_kind.assemble(params, sweep)
-    return sweep_kind.execute(params, seed, jobs, frame=frame)
+    cluster = cluster_workers if execution == "cluster" and sweep_kind.clusterable else None
+    return sweep_kind.execute(params, seed, jobs, frame=frame, cluster=cluster, cache=cache)

@@ -32,94 +32,48 @@ except on the clock.
 Every surface that runs points (CLI subcommands, the sweep-kind table in
 :mod:`repro.sim.catalog`, and — since the engine name is a JSON-safe
 string riding in point kwargs — the cluster wire format) threads an
-``engine`` parameter down to the ``simulate_*`` dispatchers below.
+``engine`` parameter down to :func:`get_engine`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.htm.cache import CacheGeometry
 from repro.sim.closed_fast import simulate_closed_system_fast
-from repro.sim.closed_system import (
-    ClosedSystemConfig,
-    ClosedSystemResult,
-    simulate_closed_system,
-)
-from repro.sim.open_system import (
-    OpenSystemConfig,
-    OpenSystemResult,
-    simulate_open_system,
-)
+from repro.sim.closed_system import simulate_closed_system
+from repro.sim.open_system import simulate_open_system
 from repro.sim.overflow import simulate_htm_overflow
 from repro.sim.overflow_fast import simulate_htm_overflow_fast
-from repro.sim.trace_driven import (
-    TraceAliasConfig,
-    TraceAliasResult,
-    simulate_trace_aliasing,
-)
+from repro.sim.trace_driven import simulate_trace_aliasing
 from repro.sim.trace_fast import simulate_trace_aliasing_fast
-from repro.traces.events import AccessTrace, ThreadedTrace
 
 __all__ = [
-    "CLOSED_ENGINES",
-    "DEFAULT_CLOSED_ENGINE",
     "DEFAULT_ENGINES",
-    "DEFAULT_OPEN_ENGINE",
-    "DEFAULT_OVERFLOW_ENGINE",
-    "DEFAULT_TRACE_ENGINE",
     "ENGINES",
-    "OPEN_ENGINES",
-    "OVERFLOW_ENGINES",
-    "TRACE_ENGINES",
-    "available_closed_engines",
     "available_engines",
-    "available_open_engines",
-    "available_overflow_engines",
-    "available_trace_engines",
-    "get_closed_engine",
     "get_engine",
-    "get_open_engine",
-    "get_overflow_engine",
-    "get_trace_engine",
-    "simulate_closed",
-    "simulate_open",
-    "simulate_overflow",
-    "simulate_trace",
 ]
 
-#: Closed-system engine name -> simulator callable.
-CLOSED_ENGINES: dict[str, Callable[[ClosedSystemConfig], ClosedSystemResult]] = {
-    "reference": simulate_closed_system,
-    "fast": simulate_closed_system_fast,
-}
-
-#: Trace-driven engine name -> simulator callable.
-TRACE_ENGINES: dict[str, Callable[..., TraceAliasResult]] = {
-    "reference": simulate_trace_aliasing,
-    "fast": simulate_trace_aliasing_fast,
-}
-
-#: HTM-overflow engine name -> simulator callable.
-OVERFLOW_ENGINES: dict[str, Callable[..., object]] = {
-    "reference": simulate_htm_overflow,
-    "fast": simulate_htm_overflow_fast,
-}
-
-#: Open-system engine name -> simulator callable.  The reference is
-#: already vectorized, so "fast" aliases it: selection costs nothing and
-#: every kind exposes the same two names.
-OPEN_ENGINES: dict[str, Callable[[OpenSystemConfig], OpenSystemResult]] = {
-    "reference": simulate_open_system,
-    "fast": simulate_open_system,
-}
-
-#: Kind -> engine registry for that kind.
+#: Kind -> engine name -> simulator callable.  The open-system reference
+#: is already vectorized, so its "fast" entry aliases it: selection
+#: costs nothing and every kind exposes the same two names.
 ENGINES: dict[str, dict[str, Callable]] = {
-    "closed": CLOSED_ENGINES,
-    "open": OPEN_ENGINES,
-    "overflow": OVERFLOW_ENGINES,
-    "trace": TRACE_ENGINES,
+    "closed": {
+        "reference": simulate_closed_system,
+        "fast": simulate_closed_system_fast,
+    },
+    "open": {
+        "reference": simulate_open_system,
+        "fast": simulate_open_system,
+    },
+    "overflow": {
+        "reference": simulate_htm_overflow,
+        "fast": simulate_htm_overflow_fast,
+    },
+    "trace": {
+        "reference": simulate_trace_aliasing,
+        "fast": simulate_trace_aliasing_fast,
+    },
 }
 
 #: Human-readable kind names, used in help/error text.
@@ -138,11 +92,6 @@ DEFAULT_ENGINES: dict[str, str] = {
     "overflow": "fast",
     "trace": "fast",
 }
-
-DEFAULT_CLOSED_ENGINE = DEFAULT_ENGINES["closed"]
-DEFAULT_OPEN_ENGINE = DEFAULT_ENGINES["open"]
-DEFAULT_OVERFLOW_ENGINE = DEFAULT_ENGINES["overflow"]
-DEFAULT_TRACE_ENGINE = DEFAULT_ENGINES["trace"]
 
 
 def _check_kind(kind: str) -> None:
@@ -174,101 +123,3 @@ def get_engine(kind: str, name: Optional[str] = None) -> Callable:
             f"unknown {_KIND_DISPLAY[kind]} engine {name!r}; expected one of: {known}"
         ) from None
 
-
-def available_closed_engines() -> tuple[str, ...]:
-    """The selectable closed-system engine names."""
-    return available_engines("closed")
-
-
-def get_closed_engine(
-    name: Optional[str] = None,
-) -> Callable[[ClosedSystemConfig], ClosedSystemResult]:
-    """Resolve a closed-system engine name (``None`` means the default)."""
-    return get_engine("closed", name)
-
-
-def available_trace_engines() -> tuple[str, ...]:
-    """The selectable trace-driven engine names."""
-    return available_engines("trace")
-
-
-def get_trace_engine(name: Optional[str] = None) -> Callable[..., TraceAliasResult]:
-    """Resolve a trace-driven engine name (``None`` means the default)."""
-    return get_engine("trace", name)
-
-
-def available_overflow_engines() -> tuple[str, ...]:
-    """The selectable HTM-overflow engine names."""
-    return available_engines("overflow")
-
-
-def get_overflow_engine(name: Optional[str] = None) -> Callable[..., object]:
-    """Resolve an HTM-overflow engine name (``None`` means the default)."""
-    return get_engine("overflow", name)
-
-
-def available_open_engines() -> tuple[str, ...]:
-    """The selectable open-system engine names."""
-    return available_engines("open")
-
-
-def get_open_engine(
-    name: Optional[str] = None,
-) -> Callable[[OpenSystemConfig], OpenSystemResult]:
-    """Resolve an open-system engine name (``None`` means the default)."""
-    return get_engine("open", name)
-
-
-def simulate_closed(
-    cfg: ClosedSystemConfig, *, engine: Optional[str] = None
-) -> ClosedSystemResult:
-    """Run one closed-system experiment on the named engine.
-
-    ``engine=None`` selects the kind's default.  Whatever the choice,
-    the result is byte-identical — engines differ only in speed.
-    """
-    return get_closed_engine(engine)(cfg)
-
-
-def simulate_trace(
-    trace: ThreadedTrace,
-    cfg: TraceAliasConfig,
-    *,
-    engine: Optional[str] = None,
-    hash_fn=None,
-    batch: int = 1000,
-) -> TraceAliasResult:
-    """Run one Figure 2 trace-driven data point on the named engine.
-
-    ``engine=None`` selects the kind's default.  Whatever the choice,
-    the result is byte-identical — engines differ only in speed.
-    """
-    return get_trace_engine(engine)(trace, cfg, hash_fn=hash_fn, batch=batch)
-
-
-def simulate_overflow(
-    trace: AccessTrace,
-    geometry: Optional[CacheGeometry] = None,
-    *,
-    victim_entries: int = 0,
-    engine: Optional[str] = None,
-):
-    """Run one Figure 3 trace through HTM overflow detection.
-
-    ``engine=None`` selects the kind's default.  Whatever the choice,
-    the result is byte-identical — engines differ only in speed.
-    """
-    return get_overflow_engine(engine)(
-        trace, geometry, victim_entries=victim_entries
-    )
-
-
-def simulate_open(
-    cfg: OpenSystemConfig, *, engine: Optional[str] = None
-) -> OpenSystemResult:
-    """Run one open-system experiment on the named engine.
-
-    Both entries currently alias the vectorized reference, so the flag
-    exists for surface uniformity; results are identical by definition.
-    """
-    return get_open_engine(engine)(cfg)

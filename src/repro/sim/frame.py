@@ -237,19 +237,6 @@ class SweepFrame:
         with self._lock:
             return self._n_filled == self.capacity
 
-    def column(self, name: str) -> np.ndarray:
-        """One column by name (axes shadow outcome fields on collision).
-
-        Returns the live array — callers treat it as read-only.
-        """
-        if name in self._axis_cols:
-            return self._axis_cols[name]
-        if self.schema.scalar and name == "value":
-            return self._value_col
-        if name in self._field_cols:
-            return self._field_cols[name]
-        raise KeyError(f"frame {self.schema.kind!r} has no column {name!r}")
-
     # -- row views ----------------------------------------------------
 
     def point_at(self, index: int) -> dict[str, Any]:
@@ -423,8 +410,7 @@ class FrameBackedSweepResult(SweepResult):
     The lazy row-view facade: ``points``/``outcomes`` materialize from
     the columns on first touch (and are cached), so consumers that
     genuinely need dicts still get them — byte-identical to the dict
-    path — while column-wise consumers (``where``, the assemblers'
-    reductions) never build a row at all.
+    path — while ``where`` masks the columns without building a row.
     """
 
     def __init__(self, frame: SweepFrame, telemetry: Optional[Any] = None) -> None:

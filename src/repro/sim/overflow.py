@@ -130,9 +130,9 @@ def characterize_overflow(
     (``None`` means the default); engines are byte-identical, so the
     choice only changes wall-clock.
     """
-    from repro.sim.engines import get_overflow_engine  # avoid import cycle
+    from repro.sim.engines import get_engine  # avoid import cycle
 
-    simulate = get_overflow_engine(engine)
+    simulate = get_engine("overflow", engine)
     reads: list[int] = []
     writes: list[int] = []
     instrs: list[int] = []
@@ -197,12 +197,7 @@ def fleet_summary(
 
     grid = [{"bench": name} for name in names]
     fn = partial(_characterize_named, profile_table=table, cfg=cfg, engine=engine)
-    if jobs is None or jobs == 1:
-        sweep = run_sweep(fn, grid)
-    else:
-        from repro.sim.parallel import run_sweep_parallel
-
-        sweep = run_sweep_parallel(fn, grid, jobs=jobs)
+    sweep = run_sweep(fn, grid, jobs=jobs)
     out: dict[str, OverflowResult] = {point["bench"]: result for point, result in sweep}
 
     measured = [r for r in out.values() if r.traces_overflowed > 0]
@@ -277,9 +272,9 @@ def overflow_distribution(
     Uses the same per-trace seeds, so the distribution's means equal the
     summary's means exactly.
     """
-    from repro.sim.engines import get_overflow_engine  # avoid import cycle
+    from repro.sim.engines import get_engine  # avoid import cycle
 
-    simulate = get_overflow_engine(engine)
+    simulate = get_engine("overflow", engine)
     footprints: list[int] = []
     writes: list[int] = []
     instrs: list[int] = []

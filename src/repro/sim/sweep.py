@@ -5,15 +5,18 @@ these helpers express that as data: build the grid, run a function at
 every point, and collect results keyed by their coordinates so reports
 can slice by any axis.
 
-Two execution strategies share one contract:
+:func:`run_sweep` is the one place that picks an execution mode:
 
-* :func:`run_sweep` (here) evaluates points serially.
-* :func:`repro.sim.parallel.run_sweep_parallel` shards the same grid
-  across a process pool and reassembles results in grid order.
+* serially, in this process (the default, and any ``jobs`` <= 1);
+* ``jobs > 1`` — :func:`repro.sim.parallel.run_sweep_parallel` shards
+  the grid across a process pool and reassembles results in grid order;
+* ``cluster=k`` —
+  :func:`repro.cluster.coordinator.run_sweep_cluster_from_callable`
+  leases chunks to ``k`` in-process cluster workers.
 
-Both derive each point's randomness only from the point's coordinates
-(via :func:`repro.util.rng.point_seed` when ``seed`` is given), so the
-two strategies return bit-identical :class:`SweepResult` objects.
+Every mode derives each point's randomness only from the point's
+coordinates (via :func:`repro.util.rng.point_seed` when ``seed`` is
+given), so all three return bit-identical :class:`SweepResult` objects.
 """
 
 from __future__ import annotations
@@ -137,13 +140,28 @@ def run_sweep(
     seed: Optional[int] = None,
     label: str = "sweep-point",
     frame: Optional[Any] = None,
+    jobs: Optional[int] = None,
+    cluster: Optional[int] = None,
+    cache: Optional[Any] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> SweepResult:
     """Evaluate ``fn(**point)`` at every grid point, collecting results.
 
     When ``seed`` is given, each call also receives an independent
     ``seed=`` keyword derived from :func:`repro.util.rng.point_seed`
     keyed by the point's coordinates, so outcomes are independent of
-    evaluation order (and identical to the parallel engine's).
+    evaluation order and of the execution mode:
+
+    * ``cluster=k`` distributes the grid over ``k`` in-process cluster
+      workers, each fanning its chunks over ``jobs`` processes; ``cache``
+      (a :class:`repro.service.cache.ResultCache`) is probed per chunk.
+      ``fn`` must be clusterable, else :class:`ValueError` is raised
+      before any point runs.
+    * ``jobs > 1`` runs on a process pool; ``progress(done, total)`` is
+      called from this process as points settle.
+    * otherwise (``jobs`` of ``None`` or <= 1) points run serially here.
+
+    Pool and cluster runs attach their telemetry to the result.
 
     When ``frame`` (a :class:`repro.sim.frame.SweepFrame` sized to the
     grid) is given, results accumulate into its typed columns instead of
@@ -151,6 +169,22 @@ def run_sweep(
     byte-identical to the dict path, but with mid-run progress visible
     through the frame's filled prefix.
     """
+    # The delegates are looked up as module attributes at call time, so
+    # a wrapper installed on either module sees every dispatched sweep.
+    if cluster is not None:
+        from repro.cluster import coordinator
+
+        return coordinator.run_sweep_cluster_from_callable(
+            fn, list(points), seed=seed, label=label, workers=cluster,
+            jobs_per_worker=jobs or 1, cache=cache, frame=frame,
+        )
+    if jobs is not None and jobs > 1:
+        from repro.sim import parallel
+
+        return parallel.run_sweep_parallel(
+            fn, points, jobs=jobs, seed=seed, label=label,
+            progress=progress, frame=frame,
+        )
     if frame is None:
         result = SweepResult()
         for point in points:

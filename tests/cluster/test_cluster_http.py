@@ -43,7 +43,7 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.worker import WorkerConfig, WorkerThread
 from repro.service.cache import ResultCache
-from repro.service.sweeps import _open_point
+from repro.sim.catalog import SWEEP_KINDS, _open_point, execute_sweep
 from repro.sim.sweep import run_sweep, sweep_grid
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -110,6 +110,20 @@ class TestDistributedDeterminism:
         # positional partial bindings (e.g. a trace object) cannot ship
         with pytest.raises(ValueError):
             run_sweep_cluster_from_callable(partial(_open_point, 64), GRID)
+
+
+class TestPooledWorkers:
+    """Workers that fan their chunks over a process pool (``jobs > 1``)."""
+
+    def test_fig4a_byte_identical_to_serial(self):
+        kind = SWEEP_KINDS["fig4a"]
+        params = kind.validate({"samples": 30, "n_values": [512, 1024], "w_values": [4, 8]})
+        fn, grid = kind.bind(params, 0), kind.grid(params)
+        serial = json.dumps(kind.assemble(params, run_sweep(fn, grid)))
+        result = run_sweep_cluster_from_callable(
+            fn, grid, workers=2, jobs_per_worker=2, timeout=60
+        )
+        assert json.dumps(kind.assemble(params, result)) == serial
 
 
 class TestWorkerCrashRecovery:
@@ -335,7 +349,6 @@ class TestChunkCache:
 class TestServiceClusterExecution:
     def test_service_cluster_sweep_matches_local(self):
         from repro.service.server import Service, ServiceConfig, ServiceThread
-        from repro.service.sweeps import SWEEP_KINDS, execute_sweep
 
         params = SWEEP_KINDS["fig4a"].validate(
             {"n_values": [64, 128], "w_values": [2, 4], "samples": 25}
@@ -372,8 +385,6 @@ class TestServiceClusterExecution:
         """The engine name rides the closed sweep's point kwargs across
         the cluster wire, and the result stays byte-identical to a
         local run on the *other* engine."""
-        from repro.service.sweeps import SWEEP_KINDS, execute_sweep
-
         fast = SWEEP_KINDS["closed"].validate(
             {"n_values": [128], "w_values": [4], "engine": "fast"}
         )
@@ -391,8 +402,6 @@ class TestServiceClusterExecution:
         rebuilt from (threads, accesses, seed) on each worker — and the
         engine kwarg rides along; the distributed result stays
         byte-identical to a local run on the *other* engine."""
-        from repro.service.sweeps import SWEEP_KINDS, execute_sweep
-
         base = {"n_values": [256], "w_values": [3, 6], "samples": 30,
                 "threads": 2, "accesses": 2000}
         fast = SWEEP_KINDS["fig2a"].validate(dict(base, engine="fast"))

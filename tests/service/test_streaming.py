@@ -23,7 +23,7 @@ from functools import partial
 import pytest
 
 from repro.service.server import Service, ServiceConfig, ServiceThread
-from repro.service.sweeps import _open_point
+from repro.sim.catalog import _open_point
 from repro.sim.frame import frame_from_wire
 from repro.sim.sweep import run_sweep, sweep_grid
 

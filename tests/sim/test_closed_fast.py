@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 
 from repro.sim.closed_fast import simulate_closed_system_fast
 from repro.sim.closed_system import ClosedSystemConfig, simulate_closed_system
-from repro.sim.engines import (
-    CLOSED_ENGINES,
-    DEFAULT_CLOSED_ENGINE,
-    available_closed_engines,
-    get_closed_engine,
-    simulate_closed,
-)
+from repro.sim.engines import ENGINES, get_engine
 from tests.sim.engine_contract import EngineContract, registry_test_class
 
 CONTRACT = EngineContract(
@@ -104,33 +98,33 @@ class TestDifferentialProperty:
 class TestEdgeCases:
     """Degenerate protocol corners, run on *both* engines."""
 
-    @pytest.mark.parametrize("engine", sorted(CLOSED_ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES["closed"]))
     def test_alpha_zero_is_all_writes(self, engine):
         """α=0: every access is a write; F = W."""
         cfg = ClosedSystemConfig(n_entries=256, concurrency=4, write_footprint=8,
                                  alpha=0, seed=3)
         assert cfg.footprint == 8
-        r = simulate_closed(cfg, engine=engine)
+        r = get_engine("closed", engine)(cfg)
         assert r.committed > 0
         assert_identical(cfg)
 
-    @pytest.mark.parametrize("engine", sorted(CLOSED_ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES["closed"]))
     def test_single_thread_never_conflicts(self, engine):
         """C=1: no other thread exists, so nothing can refuse a claim."""
         cfg = ClosedSystemConfig(n_entries=64, concurrency=1, write_footprint=10, seed=4)
-        r = simulate_closed(cfg, engine=engine)
+        r = get_engine("closed", engine)(cfg)
         assert r.conflicts == 0
         # One thread at one access per tick commits ~horizon/F times,
         # minus its stagger offset.
         assert r.committed in (649, 650)
 
-    @pytest.mark.parametrize("engine", sorted(CLOSED_ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES["closed"]))
     def test_unit_footprint(self, engine):
         """W=1, α=0: one-access transactions commit the tick they start."""
         cfg = ClosedSystemConfig(n_entries=128, concurrency=4, write_footprint=1,
                                  alpha=0, seed=5)
         assert cfg.footprint == 1
-        r = simulate_closed(cfg, engine=engine)
+        r = get_engine("closed", engine)(cfg)
         assert r.committed + r.conflicts > 0
         assert_identical(cfg)
 
@@ -167,18 +161,9 @@ TestRegistryContract = registry_test_class(
 class TestEngineRegistry:
     """Kind-specific helpers layered over the shared registry contract."""
 
-    def test_legacy_helpers_match_registry(self):
-        assert set(CLOSED_ENGINES) == {"reference", "fast"}
-        assert DEFAULT_CLOSED_ENGINE == "fast"
-        assert available_closed_engines() == ("fast", "reference")
-        assert get_closed_engine() is simulate_closed_system_fast
-        assert get_closed_engine("reference") is simulate_closed_system
-        with pytest.raises(ValueError, match="fast, reference"):
-            get_closed_engine("warp")
-
     def test_simulate_closed_dispatches(self):
         cfg = ClosedSystemConfig(n_entries=512, concurrency=2, write_footprint=5, seed=7)
-        default = simulate_closed(cfg)
-        ref = simulate_closed(cfg, engine="reference")
-        fast = simulate_closed(cfg, engine="fast")
+        default = get_engine("closed")(cfg)
+        ref = get_engine("closed", "reference")(cfg)
+        fast = get_engine("closed", "fast")(cfg)
         assert default == fast == ref

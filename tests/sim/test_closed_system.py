@@ -6,7 +6,7 @@ import pytest
 
 import repro.sim.closed_system as closed_system
 from repro.sim.closed_system import ClosedSystemConfig, simulate_closed_system
-from repro.sim.engines import simulate_closed
+from repro.sim.engines import get_engine
 
 
 class TestConfig:
@@ -138,11 +138,10 @@ class TestGoldenRegression:
     @pytest.mark.parametrize("params,expected", _GOLDEN)
     def test_pinned_outputs(self, params, expected, engine):
         n, c, w, alpha, seed = params
-        r = simulate_closed(
+        r = get_engine("closed", engine)(
             ClosedSystemConfig(
                 n_entries=n, concurrency=c, write_footprint=w, alpha=alpha, seed=seed
-            ),
-            engine=engine,
+            )
         )
         assert (r.conflicts, r.committed, r.mean_occupancy) == expected
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm.cache import CacheGeometry
-from repro.sim.engines import simulate_overflow
+from repro.sim.engines import get_engine
 from repro.sim.open_system import simulate_open_system
 from repro.sim.overflow import (
     OverflowConfig,
@@ -199,9 +199,9 @@ class TestCharacterizationLevel:
     def test_simulate_overflow_dispatches(self):
         trace = synth("mcf", 8000, seed=3)
         geo = GEOMETRIES["8K-8way"]
-        default = simulate_overflow(trace, geo, victim_entries=1)
-        ref = simulate_overflow(trace, geo, victim_entries=1, engine="reference")
-        fast = simulate_overflow(trace, geo, victim_entries=1, engine="fast")
+        default = get_engine("overflow")(trace, geo, victim_entries=1)
+        ref = get_engine("overflow", "reference")(trace, geo, victim_entries=1)
+        fast = get_engine("overflow", "fast")(trace, geo, victim_entries=1)
         assert default == fast == ref
 
 

@@ -21,17 +21,7 @@ from hypothesis import strategies as st
 from repro.ownership.hashing import make_hash
 from repro.sim.closed_fast import simulate_closed_system_fast
 from repro.sim.closed_system import simulate_closed_system
-from repro.sim.engines import (
-    DEFAULT_ENGINES,
-    DEFAULT_TRACE_ENGINE,
-    ENGINES,
-    TRACE_ENGINES,
-    available_engines,
-    available_trace_engines,
-    get_engine,
-    get_trace_engine,
-    simulate_trace,
-)
+from repro.sim.engines import DEFAULT_ENGINES, ENGINES, available_engines, get_engine
 from repro.sim.trace_driven import (
     TraceAliasConfig,
     TraceAliasResult,
@@ -276,15 +266,6 @@ class TestEngineRegistry:
             "trace": "fast",
         }
 
-    def test_legacy_helpers_match_registry(self):
-        assert set(TRACE_ENGINES) == {"reference", "fast"}
-        assert DEFAULT_TRACE_ENGINE == "fast"
-        assert available_trace_engines() == ("fast", "reference")
-        assert get_trace_engine() is simulate_trace_aliasing_fast
-        assert get_trace_engine("reference") is simulate_trace_aliasing
-        with pytest.raises(ValueError, match="trace-driven engine 'warp'"):
-            get_trace_engine("warp")
-
     def test_lookup_by_name_both_kinds(self):
         assert get_engine("trace", "reference") is simulate_trace_aliasing
         assert get_engine("trace", "fast") is simulate_trace_aliasing_fast
@@ -299,7 +280,7 @@ class TestEngineRegistry:
 
     def test_simulate_trace_dispatches(self, equal_trace):
         cfg = TraceAliasConfig(n_entries=64, write_footprint=4, samples=50, seed=6)
-        default = simulate_trace(equal_trace, cfg)
-        ref = simulate_trace(equal_trace, cfg, engine="reference")
-        fast = simulate_trace(equal_trace, cfg, engine="fast")
+        default = get_engine("trace")(equal_trace, cfg)
+        ref = get_engine("trace", "reference")(equal_trace, cfg)
+        fast = get_engine("trace", "fast")(equal_trace, cfg)
         assert default == fast == ref

@@ -352,6 +352,20 @@ class TestJobsFlag:
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_fig4a_cluster_with_jobs_matches_serial(self, capsys):
+        assert main(["fig4a", "--samples", "30"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["fig4a", "--samples", "30", "--cluster", "2", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_jobs_one_runs_serially(self, capsys):
+        assert main(["fig4a", "--samples", "30"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["fig4a", "--samples", "30", "--jobs", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == serial
+        assert "[sweep]" not in captured.err  # no pool, so no pool telemetry
+
     def test_report_accepts_jobs(self, capsys):
         assert build_parser().parse_args(["report", "--jobs", "4"]).jobs == 4
 
