@@ -855,6 +855,7 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
 
     from repro.experiments import (
         ExperimentInterrupted,
+        ExperimentPointFailed,
         ExperimentsConfig,
         run_experiments,
     )
@@ -885,6 +886,9 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
     except ExperimentInterrupted as exc:
         print(f"[experiments] interrupted: {exc}", file=sys.stderr)
         return 3
+    except ExperimentPointFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(result.report_md)
     print(result.report_json)
     return 0

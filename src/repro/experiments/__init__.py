@@ -27,6 +27,7 @@ from repro.experiments.artifact import write_artifact
 from repro.experiments.manifest import ManifestMismatch, RunManifest
 from repro.experiments.runner import (
     ExperimentInterrupted,
+    ExperimentPointFailed,
     ExperimentsConfig,
     ExperimentsResult,
     FigureTelemetry,
@@ -40,6 +41,7 @@ __all__ = [
     "Claim",
     "EXPERIMENTS",
     "ExperimentInterrupted",
+    "ExperimentPointFailed",
     "ExperimentSpec",
     "ExperimentsConfig",
     "ExperimentsResult",

@@ -12,9 +12,11 @@ byte-identical report artifact.
 
 Execution modes share one checkpoint namespace:
 
-* serial / ``--jobs N`` — the runner walks chunks itself, evaluating
-  misses via :func:`repro.sim.sweep.run_sweep` (serially or on the
-  process pool);
+* serial / ``--jobs N`` — the runner probes every chunk itself, then
+  evaluates all of a figure's misses in one
+  :func:`repro.sim.sweep.run_sweep` call (serially, or on one N-process
+  pool per figure with every missing chunk in flight), checkpointing
+  each chunk as soon as its last point settles;
 * ``--cluster N`` — an in-process elastic fleet: a
   :class:`~repro.cluster.coordinator.Coordinator` (which probes the
   same cache, keyed by :func:`~repro.cluster.coordinator.chunk_cache_key`)
@@ -42,7 +44,12 @@ from repro.cluster.coordinator import (
     CoordinatorThread,
     chunk_cache_key,
 )
-from repro.cluster.protocol import ClusterTask, chunk_grid, task_from_callable
+from repro.cluster.protocol import (
+    ChunkSpec,
+    ClusterTask,
+    chunk_grid,
+    task_from_callable,
+)
 from repro.cluster.worker import WorkerConfig, WorkerThread
 from repro.experiments.artifact import write_artifact
 from repro.experiments.manifest import RunManifest
@@ -51,10 +58,12 @@ from repro.experiments.specs import EXPERIMENTS, QUALITIES, ExperimentSpec
 from repro.service.cache import ResultCache, cache_key
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.frame import FrameBackedSweepResult, SweepFrame
+from repro.sim.parallel import SweepFailure
 from repro.sim.sweep import SweepResult, run_sweep
 
 __all__ = [
     "ExperimentInterrupted",
+    "ExperimentPointFailed",
     "ExperimentsConfig",
     "ExperimentsResult",
     "FigureTelemetry",
@@ -72,6 +81,23 @@ class ExperimentInterrupted(Exception):
     chunks would leave behind — the shape the resume tests exercise
     without needing a subprocess.
     """
+
+
+class ExperimentPointFailed(RuntimeError):
+    """A grid point kept failing on the process pool.
+
+    Names the figure and the point and carries the worker's message
+    (a traceback for errors).  The chunk holding the point is never
+    checkpointed, so a rerun evaluates it again.
+    """
+
+    def __init__(self, figure: str, failure: SweepFailure) -> None:
+        super().__init__(
+            f"{figure}: point {failure.point} failed ({failure.kind}) after "
+            f"{failure.attempts} attempt(s):\n{failure.error}"
+        )
+        self.figure = figure
+        self.failure = failure
 
 
 @dataclass(frozen=True)
@@ -233,6 +259,7 @@ class _Interrupter:
 
 
 def _run_figure_local(
+    figure: str,
     fn: Callable[..., Any],
     task: ClusterTask,
     grid: list[dict[str, Any]],
@@ -241,34 +268,56 @@ def _run_figure_local(
     jobs: Optional[int],
     on_chunk_done: Callable[[int], None],
     interrupter: _Interrupter,
-    frame: Optional[SweepFrame] = None,
-) -> tuple[SweepResult, int, int]:
-    """Walk one figure's chunks locally; returns (sweep, hits, computed)."""
-    chunks = chunk_grid(len(grid), chunk_size)
-    outcomes: list[Any] = []
+    frame: SweepFrame,
+) -> tuple[FrameBackedSweepResult, int, int]:
+    """Run one figure locally; returns (sweep, hits, computed).
+
+    Cached chunks land in ``frame`` straight from the checkpoint cache.
+    Every uncached point then goes to a single :func:`run_sweep` call,
+    so ``--jobs`` runs one pool per figure with all missing chunks in
+    flight; each chunk is checkpointed the moment its last point
+    settles.  A point that failed on the pool raises
+    :class:`ExperimentPointFailed` before its chunk reaches the cache.
+    """
     hits = computed = 0
-    for chunk in chunks:
+    misses: list[tuple[ChunkSpec, list[dict[str, Any]], str]] = []
+    for chunk in chunk_grid(len(grid), chunk_size):
         points = [dict(p) for p in grid[chunk.start:chunk.stop]]
         key = chunk_cache_key(task, points)
         hit, cached = cache.lookup(key)
         if hit and len(cached) == chunk.count:
-            outcomes.extend(cached)
-            if frame is not None:
-                frame.fill_many(chunk.start, points, cached)
+            frame.fill_many(chunk.start, points, cached)
             hits += 1
-            on_chunk_done(hits + computed)
-            continue
-        sweep = run_sweep(fn, points, jobs=jobs)
-        cache.put(key, list(sweep.outcomes))
-        outcomes.extend(sweep.outcomes)
-        if frame is not None:
-            frame.fill_many(chunk.start, points, list(sweep.outcomes))
+            on_chunk_done(hits)
+        else:
+            misses.append((chunk, points, key))
+
+    # Sweep index -> (miss number, offset within its chunk).
+    owner = [(m, i) for m, (chunk, _, _) in enumerate(misses)
+             for i in range(chunk.count)]
+    settled: list[list[Any]] = [[None] * chunk.count for chunk, _, _ in misses]
+    remaining = [chunk.count for chunk, _, _ in misses]
+
+    def on_point(index: int, outcome: Any) -> None:
+        nonlocal computed
+        if isinstance(outcome, SweepFailure):
+            raise ExperimentPointFailed(figure, outcome)
+        m, offset = owner[index]
+        settled[m][offset] = outcome
+        remaining[m] -= 1
+        if remaining[m]:
+            return
+        chunk, points, key = misses[m]
+        cache.put(key, settled[m])
+        frame.fill_many(chunk.start, points, settled[m])
         computed += 1
         on_chunk_done(hits + computed)
         interrupter.chunk_computed()
-    if frame is not None and frame.complete:
-        return FrameBackedSweepResult(frame), hits, computed
-    return SweepResult(points=grid, outcomes=outcomes), hits, computed
+
+    if misses:
+        run_sweep(fn, [p for _, points, _ in misses for p in points],
+                  jobs=jobs, on_point=on_point)
+    return FrameBackedSweepResult(frame), hits, computed
 
 
 def _run_figure_cluster(
@@ -279,7 +328,7 @@ def _run_figure_cluster(
     cfg: ExperimentsConfig,
     depart_after: Optional[int],
     join_after: Optional[float],
-    frame: Optional[SweepFrame] = None,
+    frame: SweepFrame,
 ) -> SweepResult:
     """Run one figure on an elastic in-process fleet.
 
@@ -435,6 +484,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
 
         stolen = 0
         frame = kind.make_frame(params)
+        assert frame is not None  # every grid kind declares a column schema
         if cfg.cluster is not None:
             sweep = _run_figure_cluster(
                 task, grid, chunk_size, cache, cfg, depart_after, join_after,
@@ -448,7 +498,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
         else:
             try:
                 sweep, hits, computed = _run_figure_local(
-                    fn, task, grid, chunk_size, cache, cfg.jobs,
+                    spec.figure, fn, task, grid, chunk_size, cache, cfg.jobs,
                     on_chunk_done, interrupter, frame=frame,
                 )
             except ExperimentInterrupted:

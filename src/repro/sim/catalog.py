@@ -443,7 +443,9 @@ def _fig2a_trace(threads: int, accesses: int, seed: int):
 
     Rebuilt (and memoized) per process: cluster workers receive only
     these scalars in the point kwargs and reconstruct the trace locally,
-    which keeps the wire format code- and array-free.
+    which keeps the wire format code- and array-free.  A ``--jobs``
+    experiments run keeps one pool per figure, so each pool worker
+    builds it once per figure.
     """
     from repro.traces.dedup import remove_true_conflicts
     from repro.traces.workloads import specjbb_like

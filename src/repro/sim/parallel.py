@@ -249,6 +249,7 @@ def run_sweep_parallel(
     retries: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
     frame: Optional[Any] = None,
+    on_point: Optional[Callable[[int, Any], None]] = None,
 ) -> SweepResult:
     """Evaluate ``fn(**point)`` at every grid point on a process pool.
 
@@ -292,6 +293,13 @@ def run_sweep_parallel(
         frame's lazy row view.  A run with failures falls back to a
         materialized :class:`~repro.sim.sweep.SweepResult` so the
         :class:`SweepFailure` outcomes stay representable.
+    on_point:
+        Optional callback ``on_point(index, outcome)`` invoked from the
+        driving process as each point settles (in completion order,
+        failures as their :class:`SweepFailure`), so a caller can act on
+        a group of points — e.g. checkpoint it — as soon as its last
+        member lands.  An exception it raises aborts the sweep: the
+        pool is torn down and the exception propagates.
 
     Returns
     -------
@@ -370,6 +378,8 @@ def run_sweep_parallel(
                 )
                 failures += 1
         settled += 1
+        if on_point is not None:
+            on_point(index, outcomes[index])
 
     def retry_isolated(index: int, point: dict[str, Any]) -> Optional[tuple[str, Any, float]]:
         """Re-run one crash-affected point in throwaway one-worker pools.

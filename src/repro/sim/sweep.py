@@ -144,6 +144,7 @@ def run_sweep(
     cluster: Optional[int] = None,
     cache: Optional[Any] = None,
     progress: Optional[Callable[[int, int], None]] = None,
+    on_point: Optional[Callable[[int, Any], None]] = None,
 ) -> SweepResult:
     """Evaluate ``fn(**point)`` at every grid point, collecting results.
 
@@ -163,6 +164,13 @@ def run_sweep(
 
     Pool and cluster runs attach their telemetry to the result.
 
+    ``on_point(index, outcome)`` (serial and pool runs) is called from
+    this process as each point settles, with the point's position in
+    ``points``; pool runs settle out of grid order, and a point that
+    failed on the pool arrives as a
+    :class:`repro.sim.parallel.SweepFailure`.  An exception it raises
+    aborts the sweep (the pool is torn down) and propagates.
+
     When ``frame`` (a :class:`repro.sim.frame.SweepFrame` sized to the
     grid) is given, results accumulate into its typed columns instead of
     dict lists and the returned result is the frame's lazy row view —
@@ -172,6 +180,8 @@ def run_sweep(
     # The delegates are looked up as module attributes at call time, so
     # a wrapper installed on either module sees every dispatched sweep.
     if cluster is not None:
+        if on_point is not None:
+            raise ValueError("on_point is not supported on cluster sweeps")
         from repro.cluster import coordinator
 
         return coordinator.run_sweep_cluster_from_callable(
@@ -183,16 +193,20 @@ def run_sweep(
 
         return parallel.run_sweep_parallel(
             fn, points, jobs=jobs, seed=seed, label=label,
-            progress=progress, frame=frame,
+            progress=progress, frame=frame, on_point=on_point,
         )
-    if frame is None:
-        result = SweepResult()
-        for point in points:
+    result = SweepResult()
+    for index, point in enumerate(points):
+        outcome = _call_point(fn, point, seed, label)
+        if frame is None:
             result.points.append(dict(point))
-            result.outcomes.append(_call_point(fn, point, seed, label))
+            result.outcomes.append(outcome)
+        else:
+            frame.fill(index, point, outcome)
+        if on_point is not None:
+            on_point(index, outcome)
+    if frame is None:
         return result
     from repro.sim.frame import FrameBackedSweepResult
 
-    for index, point in enumerate(points):
-        frame.fill(index, point, _call_point(fn, point, seed, label))
     return FrameBackedSweepResult(frame)

@@ -4,7 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.parallel import SweepFailure
 from repro.sim.sweep import SweepResult, run_sweep, sweep_grid
+
+
+def product(n, w):
+    return n * w
+
+
+def fail_on_three(n, w):
+    if n == 3:
+        raise ValueError("three is bad")
+    return n * w
 
 
 class TestGrid:
@@ -60,6 +71,41 @@ class TestRunSweep:
         result = run_sweep(lambda n: n, grid)
         result.points[0]["n"] = 99
         assert grid[0]["n"] == 1
+
+
+class TestOnPoint:
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_every_point_settles_once_with_its_outcome(self, jobs):
+        grid = sweep_grid(n=[1, 2, 3, 4, 5], w=[10, 20])
+        seen = {}
+        result = run_sweep(product, grid, jobs=jobs,
+                           on_point=lambda i, o: seen.setdefault(i, o))
+        assert seen == dict(enumerate(result.outcomes))
+
+    def test_pool_failure_arrives_as_sweep_failure(self):
+        failed = []
+
+        def on_point(index, outcome):
+            if isinstance(outcome, SweepFailure):
+                failed.append((index, outcome.point))
+
+        run_sweep(fail_on_three, sweep_grid(n=[1, 3], w=[10]), jobs=2,
+                  on_point=on_point)
+        assert failed == [(1, {"n": 3, "w": 10})]
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_callback_exception_aborts_the_sweep(self, jobs):
+        def on_point(index, outcome):
+            raise KeyError("stop")
+
+        with pytest.raises(KeyError, match="stop"):
+            run_sweep(product, sweep_grid(n=[1, 2, 3], w=[1]), jobs=jobs,
+                      on_point=on_point)
+
+    def test_cluster_rejects_on_point(self):
+        with pytest.raises(ValueError, match="on_point"):
+            run_sweep(product, sweep_grid(n=[1], w=[1]), cluster=1,
+                      on_point=lambda i, o: None)
 
 
 class TestSweepResult:

@@ -438,3 +438,20 @@ class TestExperiments:
         ]
         assert main(argv) == 3
         assert "interrupted" in capsys.readouterr().err
+
+    def test_failing_pool_point_exits_1_naming_it(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from repro.sim.engines import DEFAULT_ENGINES, ENGINES
+
+        def broken(cfg, *args, **kwargs):
+            raise RuntimeError("injected engine fault")
+
+        # Pool workers are forked, so they inherit the patched registry.
+        monkeypatch.setitem(ENGINES["open"], DEFAULT_ENGINES["open"], broken)
+        argv = [
+            "experiments", "run", "--out", str(tmp_path / "run"),
+            "--figures", "fig4a", "--jobs", "2",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: fig4a: point" in err and "injected engine fault" in err
